@@ -190,7 +190,8 @@ bool PimKdTree::check_node_invariants(NodeId nid, std::uint64_t& size_out) const
     const auto& st = sys_.module(m);
     const auto it = st.nodes.find(nid);
     if (it == st.nodes.end()) PIMKD_FAIL("copy missing on module");
-    if (it->second.counter != n.counter) PIMKD_FAIL("copy counter desync");
+    if (store_.replica_counter(m, nid) != n.counter)
+      PIMKD_FAIL("copy counter desync");
     if (n.is_leaf()) {
       const auto lp = st.leaf_points.find(nid);
       if (lp == st.leaf_points.end() || lp->second != pool_.cold(nid).leaf_pts)

@@ -155,10 +155,10 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
            << " registry says " << r;
         fail(os.str());
       }
-      if (cit->second.counter != rec.counter) {
+      if (const double c = store_.replica_counter(m, id); c != rec.counter) {
         std::ostringstream os;
-        os << "node " << id << " on m" << m << ": replica counter "
-           << cit->second.counter << " != canonical " << rec.counter
+        os << "node " << id << " on m" << m << ": replica counter " << c
+           << " != canonical " << rec.counter
            << " (stale; resync_counters repairs)";
         fail(os.str());
       }
@@ -200,6 +200,13 @@ PimKdTree::IntegrityReport PimKdTree::check_integrity() const {
       if (st.nodes.find(id) == st.nodes.end()) {
         std::ostringstream os;
         os << "orphan leaf payload for node " << id << " on m" << m;
+        fail(os.str());
+      }
+    }
+    for (const auto& [id, value] : st.stale_counters) {
+      if (st.nodes.find(id) == st.nodes.end()) {
+        std::ostringstream os;
+        os << "orphan stale counter for node " << id << " on m" << m;
         fail(os.str());
       }
     }

@@ -13,6 +13,14 @@ std::uint64_t DistStore::copy_words(const NodeRec& rec) const {
   return node_words(cfg_.dim);
 }
 
+namespace {
+// Drops `id`'s stale replica counter on a module; the loss-free common case
+// (no stale entries at all) costs no hash lookup.
+void clear_stale(ModuleState& st, NodeId id) {
+  if (!st.stale_counters.empty()) st.stale_counters.erase(id);
+}
+}  // namespace
+
 void DistStore::add_copy(NodeId id, std::size_t module) {
   assert(sys_.metrics().in_round());
   // The registry records intent even for a dead module (recovery re-ships it);
@@ -24,7 +32,7 @@ void DistStore::add_copy(NodeId id, std::size_t module) {
   ModuleState& st = sys_.module(module);
   Copy& copy = st.nodes[id];
   ++copy.refs;
-  copy.counter = rec.counter;
+  clear_stale(st, id);  // the shipped record carries the canonical counter
   std::uint64_t words = copy_words(rec);
   if (rec.is_leaf() && copy.refs == 1) {
     const std::vector<PointId>& pts = pool_.cold(id).leaf_pts;
@@ -35,29 +43,32 @@ void DistStore::add_copy(NodeId id, std::size_t module) {
   sys_.metrics().add_storage(module, static_cast<std::int64_t>(words));
 }
 
+void DistStore::release_copy(NodeId id, std::size_t module) {
+  const NodeRec& rec = pool_.at(id);
+  ModuleState& st = sys_.module(module);
+  const auto cit = st.nodes.find(id);
+  assert(cit != st.nodes.end() && cit->second.refs > 0);
+  std::uint64_t words = copy_words(rec);
+  if (--cit->second.refs == 0) {
+    if (rec.is_leaf()) {
+      const auto lit = st.leaf_points.find(id);
+      if (lit != st.leaf_points.end()) {
+        words += static_cast<std::uint64_t>(lit->second.size()) *
+                 point_words(cfg_.dim);
+        st.leaf_points.erase(lit);
+      }
+    }
+    st.nodes.erase(cit);
+    clear_stale(st, id);
+  }
+  sys_.metrics().add_storage(module, -static_cast<std::int64_t>(words));
+}
+
 void DistStore::remove_all_copies(NodeId id) {
   const auto it = registry_.find(id);
   if (it == registry_.end()) return;
-  const NodeRec& rec = pool_.at(id);
-  for (const std::uint32_t module : it->second) {
-    if (!sys_.module_alive(module)) continue;  // already physically gone
-    ModuleState& st = sys_.module(module);
-    const auto cit = st.nodes.find(id);
-    assert(cit != st.nodes.end() && cit->second.refs > 0);
-    std::uint64_t words = copy_words(rec);
-    if (--cit->second.refs == 0) {
-      if (rec.is_leaf()) {
-        const auto lit = st.leaf_points.find(id);
-        if (lit != st.leaf_points.end()) {
-          words += static_cast<std::uint64_t>(lit->second.size()) *
-                   point_words(cfg_.dim);
-          st.leaf_points.erase(lit);
-        }
-      }
-      st.nodes.erase(cit);
-    }
-    sys_.metrics().add_storage(module, -static_cast<std::int64_t>(words));
-  }
+  for (const std::uint32_t module : it->second)
+    if (sys_.module_alive(module)) release_copy(id, module);  // dead: gone
   registry_.erase(it);
 }
 
@@ -78,26 +89,7 @@ void DistStore::remove_one_copy(NodeId id, std::size_t module) {
     throw PimError(StatusCode::kCorruptState, os.str());
   }
   mods.erase(pos);
-  const bool live = sys_.module_alive(module);
-  if (live) {
-    const NodeRec& rec = pool_.at(id);
-    ModuleState& st = sys_.module(module);
-    const auto cit = st.nodes.find(id);
-    assert(cit != st.nodes.end() && cit->second.refs > 0);
-    std::uint64_t words = copy_words(rec);
-    if (--cit->second.refs == 0) {
-      if (rec.is_leaf()) {
-        const auto lit = st.leaf_points.find(id);
-        if (lit != st.leaf_points.end()) {
-          words += static_cast<std::uint64_t>(lit->second.size()) *
-                   point_words(cfg_.dim);
-          st.leaf_points.erase(lit);
-        }
-      }
-      st.nodes.erase(cit);
-    }
-    sys_.metrics().add_storage(module, -static_cast<std::int64_t>(words));
-  }
+  if (sys_.module_alive(module)) release_copy(id, module);
   if (mods.empty()) registry_.erase(rit);
 }
 
@@ -121,22 +113,33 @@ std::size_t DistStore::copy_count(NodeId id) const {
   return copy_modules(id).size();
 }
 
-void DistStore::write_counter_copies(NodeId id, bool charge_comm) {
+std::uint64_t DistStore::write_counter_copies(NodeId id, bool charge_comm,
+                                              double before) {
   assert(sys_.metrics().in_round());
-  const NodeRec& rec = pool_.at(id);
   pim::FaultInjector* faults = sys_.faults();
-  for (const std::uint32_t module : copy_modules(id)) {
+  const std::vector<std::uint32_t>& mods = copy_modules(id);
+  std::uint64_t words = 0;
+  for (auto it = mods.begin(); it != mods.end(); ++it) {
+    const std::uint32_t module = *it;
     if (!sys_.module_alive(module)) continue;  // send suppressed: module down
-    if (charge_comm) sys_.metrics().add_comm(module, kCounterWords);
-    // A lost message is charged (the word left the host) but never applied:
-    // the replica keeps its stale counter until resync_counters repairs it.
-    if (charge_comm && faults && faults->drop_counter_word(module)) continue;
     ModuleState& st = sys_.module(module);
-    const auto it = st.nodes.find(id);
-    assert(it != st.nodes.end());
-    it->second.counter = rec.counter;
+    if (charge_comm) {
+      sys_.metrics().add_comm(module, kCounterWords);
+      words += kCounterWords;
+      // A lost message is charged (the word left the host) but never
+      // applied: the replica keeps the value it held — `before`, unless an
+      // earlier message of this broadcast (a second ref on the same module)
+      // already settled it — until resync_counters repairs it.
+      if (faults && faults->drop_counter_word(module)) {
+        if (std::find(mods.begin(), it, module) == it)
+          st.stale_counters.emplace(id, before);
+        continue;
+      }
+    }
+    clear_stale(st, id);
     sys_.metrics().add_module_work(module, 1);
   }
+  return words;
 }
 
 void DistStore::refresh_leaf_payload(NodeId leaf, std::uint64_t words_changed) {
@@ -182,9 +185,8 @@ DistStore::RecoverySummary DistStore::rebuild_module(std::size_t m) {
         break;
       }
     }
-    Copy& copy = st.nodes[id];
-    copy.refs = refs_here;
-    copy.counter = rec.counter;
+    st.nodes[id].refs = refs_here;
+    clear_stale(st, id);
     std::uint64_t words =
         static_cast<std::uint64_t>(refs_here) * copy_words(rec);
     if (rec.is_leaf()) {
@@ -211,23 +213,15 @@ DistStore::RecoverySummary DistStore::rebuild_module(std::size_t m) {
 std::uint64_t DistStore::resync_counters() {
   assert(sys_.metrics().in_round());
   std::uint64_t fixed = 0;
-  for (const auto& [id, mods] : registry_) {
-    const NodeRec& rec = pool_.at(id);
-    // Dedup: one physical Copy per module regardless of ref multiplicity.
-    std::vector<std::uint32_t> uniq(mods.begin(), mods.end());
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    for (const std::uint32_t module : uniq) {
-      if (!sys_.module_alive(module)) continue;
-      ModuleState& st = sys_.module(module);
-      auto cit = st.nodes.find(id);
-      if (cit == st.nodes.end() || cit->second.counter == rec.counter)
-        continue;
-      cit->second.counter = rec.counter;
+  for (std::size_t module = 0; module < sys_.P(); ++module) {
+    ModuleState& st = sys_.module(module);  // a dead module's set is wiped
+    for (const auto& [id, value] : st.stale_counters) {
+      if (value == pool_.at(id).counter) continue;
       sys_.metrics().add_comm(module, kCounterWords);
       sys_.metrics().add_module_work(module, 1);
       ++fixed;
     }
+    st.stale_counters.clear();
   }
   return fixed;
 }

@@ -14,13 +14,21 @@
 // (so demolition and counter broadcast are exact), and charges Metrics for
 // every word it ships.
 //
+// Replica counters are stored sparsely. A copy's counter equals the
+// canonical NodeRec::counter unless a counter message to it was lost, so a
+// module keeps only the exceptions: ModuleState::stale_counters maps a node
+// to the value its replica held before the first dropped write. Every
+// successful write to that copy, a fresh add_copy, the copy's last ref going
+// away and a module rebuild erase the entry; a crash wipes the whole
+// ModuleState and the entries with it. replica_counter() is the one reader.
+//
 // Fault model: the registry records *intent* (where copies should live); the
 // per-module maps record physical truth. When a module is dead (crashed, see
 // pim/fault.hpp), the orchestrator suppresses every message addressed to it —
 // registry bookkeeping proceeds (so recovery knows what to restore) but no
 // state is written, no words are charged and no storage moves. Lost counter
 // messages (kMessageLoss) are charged (the word left the host) but not
-// applied, leaving a stale replica for check_integrity to flag and
+// applied, leaving a stale entry for check_integrity to flag and
 // resync_counters to repair. rebuild_module() restores a revived module's
 // copies from surviving replicas, falling back to the host-side authoritative
 // store when a node has no live replica.
@@ -44,13 +52,15 @@ class Checkpoint;
 namespace pimkd::core {
 
 struct Copy {
-  double counter = 0;     // this copy's replica of the approximate counter
   std::uint32_t refs = 0; // same node cached on this module via several owners
 };
 
 struct ModuleState {
   std::unordered_map<NodeId, Copy> nodes;
   std::unordered_map<NodeId, std::vector<PointId>> leaf_points;
+  // Replica counters that missed a write (message loss): id -> the value the
+  // replica still holds. Absent ids hold the canonical NodeRec::counter.
+  std::unordered_map<NodeId, double> stale_counters;
 };
 
 class DistStore {
@@ -156,10 +166,20 @@ class DistStore {
   };
   RecoverySummary rebuild_module(std::size_t m);
 
-  // Rewrites every replica counter that disagrees with the canonical mirror
-  // value (message-loss damage); charges one word per rewritten replica.
-  // Returns the number of replicas fixed.
+  // Rewrites every stale replica counter that disagrees with the canonical
+  // mirror value (message-loss damage); charges one word per rewritten
+  // replica. Returns the number of replicas fixed.
   std::uint64_t resync_counters();
+
+  // The counter value the copy of `id` on `module` holds.
+  double replica_counter(std::size_t module, NodeId id) const {
+    const auto& stale = sys_.module(module).stale_counters;
+    if (!stale.empty()) {
+      const auto it = stale.find(id);
+      if (it != stale.end()) return it->second;
+    }
+    return pool_.at(id).counter;
+  }
 
   // Host-side fsck hook: fn(id, modules) for every registry entry.
   template <class Fn>
@@ -172,15 +192,18 @@ class DistStore {
   const std::vector<std::uint32_t>& copy_modules(NodeId id) const;
   std::size_t copy_count(NodeId id) const;
 
-  // Broadcasts the node's canonical counter value to every copy; charges one
-  // word of communication and one unit of PIM work per copy written.
-  void broadcast_counter(NodeId id) { write_counter_copies(id, true); }
+  // Broadcasts the node's canonical counter value (just changed from
+  // `before`) to every copy; charges one word of communication and one unit
+  // of PIM work per copy written. Returns the words charged.
+  std::uint64_t broadcast_counter(NodeId id, double before) {
+    return write_counter_copies(id, true, before);
+  }
   // Same write, but charged as module-local work only. Used for the in-group
   // ancestor chain updates of §3.3/Lemma 4.2: the message that reaches a
   // module carrying a copy of the lowest node lets its PIM core walk the
   // locally cached ancestor chain, so those updates cost PIM work, not
   // off-chip words.
-  void sync_counter_local(NodeId id) { write_counter_copies(id, false); }
+  void sync_counter_local(NodeId id) { write_counter_copies(id, false, 0); }
 
   // Re-ships the leaf payload of `leaf` (already updated in the mirror) to
   // every module holding a copy; charges `words_changed` words per module.
@@ -197,7 +220,11 @@ class DistStore {
   friend class pimkd::durability::Checkpoint;
 
   std::uint64_t copy_words(const NodeRec& rec) const;
-  void write_counter_copies(NodeId id, bool charge_comm);
+  // Drops one ref of `id` on alive `module`; the last ref frees the copy, its
+  // leaf payload and any stale counter. Releases the storage words.
+  void release_copy(NodeId id, std::size_t module);
+  std::uint64_t write_counter_copies(NodeId id, bool charge_comm,
+                                     double before);
 
   const PimKdConfig& cfg_;
   pim::PimSystem<ModuleState>& sys_;

@@ -14,11 +14,6 @@ namespace pimkd::core {
 
 // --- Approximate counters ----------------------------------------------------
 
-void PimKdTree::set_counter(NodeId id, double value, bool broadcast) {
-  pool_.at(id).counter = std::max(value, 0.0);
-  if (broadcast) store_.broadcast_counter(id);
-}
-
 void PimKdTree::counter_attempt(NodeId lowest, int sign) {
   const double n = static_cast<double>(std::max<std::size_t>(live_, 2));
   const double v = std::max(pool_.at(lowest).counter, 0.0);
@@ -31,15 +26,6 @@ void PimKdTree::counter_attempt(NodeId lowest, int sign) {
   }
   if (!step.updated) return;
   ++op_stats_.counter_updates;
-  const std::uint64_t c0 = sys_.metrics().snapshot().communication;
-  struct Tally {
-    PimKdTree* t;
-    std::uint64_t c0;
-    ~Tally() {
-      t->op_stats_.words_counters +=
-          t->sys_.metrics().snapshot().communication - c0;
-    }
-  } tally{this, c0};
   // Lemma 4.2 cost model: one off-chip word per copy of the *lowest* node;
   // the in-group ancestor chain is then updated locally on each module that
   // received the message (dual-way caching collocates the chain), so those
@@ -47,9 +33,10 @@ void PimKdTree::counter_attempt(NodeId lowest, int sign) {
   NodeId cur = lowest;
   for (bool first = true;; first = false) {
     NodeRec& rec = pool_.at(cur);
+    const double before = rec.counter;
     rec.counter = std::max(rec.counter + step.delta, 0.0);
     if (first) {
-      store_.broadcast_counter(cur);
+      op_stats_.words_counters += store_.broadcast_counter(cur, before);
     } else {
       store_.sync_counter_local(cur);
     }

@@ -142,12 +142,11 @@ void Checkpoint::write_storage(const core::PimKdTree& t, ByteWriter& w) {
       if (std::find(seen.begin(), seen.end(), m) != seen.end()) continue;
       seen.push_back(m);
       if (!t.sys_.module_alive(m)) continue;
-      const auto it = t.sys_.module(m).nodes.find(id);
-      if (it == t.sys_.module(m).nodes.end()) continue;
-      if (it->second.counter != rec.counter) {
+      const double counter = t.store_.replica_counter(m, id);
+      if (counter != rec.counter) {
         stale.u64(id);
         stale.u32(m);
-        stale.f64(it->second.counter);
+        stale.f64(counter);
         ++n_stale;
       }
     }
@@ -319,11 +318,9 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
     for (const std::uint32_t m : mods) {
       if (!alive[m]) continue;
       core::ModuleState& st = t.sys_.module(m);
-      core::Copy& copy = st.nodes[id];
-      ++copy.refs;
-      copy.counter = rec.counter;
+      const std::uint32_t refs = ++st.nodes[id].refs;
       words[m] += nw;
-      if (rec.is_leaf() && copy.refs == 1) {
+      if (rec.is_leaf() && refs == 1) {
         st.leaf_points[id] = cold.leaf_pts;
         words[m] += static_cast<std::uint64_t>(cold.leaf_pts.size()) * pw;
       }
@@ -345,10 +342,9 @@ Status Checkpoint::read_storage(ByteReader& r, core::PimKdTree& t) {
       return corrupt("storage record truncated (stale counters)");
     if (m >= P) return corrupt("storage record: stale-counter module range");
     if (!alive[m]) continue;
-    const auto it = t.sys_.module(m).nodes.find(id);
-    if (it == t.sys_.module(m).nodes.end())
+    if (!t.store_.module_has(m, id))
       return corrupt("storage record: stale counter for absent copy");
-    it->second.counter = counter;
+    t.sys_.module(m).stale_counters[id] = counter;
   }
 
   std::uint64_t n_remap = 0;

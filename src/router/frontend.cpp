@@ -426,10 +426,15 @@ std::size_t Frontend::execute_epoch(std::vector<serve::Request> batch,
   ++stats_.batches;
   stats_.reads += reads.size();
   stats_.updates += updates.size();
+  std::uint64_t done = cfg_.clock ? cfg_.clock() : now;
+  if (done < now) {
+    ++stats_.clock_regressions;
+    done = now;
+  }
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    resp[i].complete_tick = now;
+    resp[i].complete_tick = done;
     stats_.queue_latency.record(sat_sub(now, resp[i].submit_tick));
-    stats_.service_latency.record(sat_sub(now, resp[i].submit_tick));
+    stats_.service_latency.record(sat_sub(done, resp[i].submit_tick));
     ++stats_.completed;
     batch[i].promise.set_value(std::move(resp[i]));
   }

@@ -17,9 +17,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kdtree/bruteforce.hpp"
@@ -614,6 +616,48 @@ TEST(Frontend, StopResolvesEverythingAndRejectsLateSubmits) {
   EXPECT_NE(bad.get().error.find("router.knn"), std::string::npos);
   // The merged per-shard fold counts what the shard schedulers saw.
   EXPECT_EQ(st.shards.completed, st.shards.submitted);
+}
+
+TEST(Frontend, CompletionClockTimesExecution) {
+  const auto initial = gen_uniform({.n = 200, .dim = 2, .seed = 92});
+  // Submits at tick 10, dispatch at pump tick 20; the clock stands for a
+  // wall clock that moved on while the epoch executed.
+  const auto serve_one = [&](std::function<std::uint64_t()> clock) {
+    Router router(router_cfg(2), initial);
+    FrontendConfig fc;
+    fc.batch_size = 4;
+    fc.clock = std::move(clock);
+    Frontend fe(router, fc);
+    std::vector<std::future<serve::Response>> futs;
+    for (std::size_t i = 0; i < 4; ++i)
+      futs.push_back(fe.submit(serve::Request::knn(initial[i], 3), 10));
+    EXPECT_EQ(fe.pump(20), 4u);
+    std::vector<serve::Response> out;
+    for (auto& f : futs) out.push_back(f.get());
+    return std::make_pair(out, fe.stats());
+  };
+
+  // Unset: completion is the pump tick (virtual time).
+  const auto [virt, vst] = serve_one(nullptr);
+  for (const serve::Response& r : virt) EXPECT_EQ(r.complete_tick, 20u);
+  EXPECT_EQ(vst.service_latency.max(), vst.queue_latency.max());
+
+  // Set: re-read after execution, so service latency covers the execution.
+  const auto [timed, tst] = serve_one([] { return std::uint64_t{125}; });
+  for (const serve::Response& r : timed) {
+    EXPECT_EQ(r.dispatch_tick, 20u);
+    EXPECT_EQ(r.complete_tick, 125u);
+  }
+  EXPECT_EQ(tst.queue_latency.max(), 10u);
+  EXPECT_EQ(tst.service_latency.min(), 115u);
+  EXPECT_GT(tst.service_latency.min(), tst.queue_latency.max());
+  EXPECT_EQ(tst.clock_regressions, 0u);
+
+  // A clock behind the pump tick is clamped to it and counted.
+  const auto [back, bst] = serve_one([] { return std::uint64_t{3}; });
+  for (const serve::Response& r : back) EXPECT_EQ(r.complete_tick, 20u);
+  EXPECT_EQ(bst.service_latency.max(), 10u);
+  EXPECT_EQ(bst.clock_regressions, 1u);
 }
 
 // --- Cross-thread-count / cross-backend determinism (subprocess) --------------
